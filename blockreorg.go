@@ -233,16 +233,7 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 		Paranoid:    opts.Paranoid,
 		Trace:       opts.Trace,
 		Accumulator: accum,
-		Core: core.Params{
-			Alpha:               opts.Alpha,
-			AutoAlpha:           opts.AutoTune,
-			Beta:                opts.Beta,
-			SplitFactorOverride: opts.SplitFactor,
-			LimitFactor:         opts.LimitFactor,
-			DisableSplit:        opts.DisableSplit,
-			DisableGather:       opts.DisableGather,
-			DisableLimit:        opts.DisableLimit,
-		},
+		Core:        coreParams(opts),
 	}
 	if _, err := kopts.Core.Normalize(); err != nil {
 		return nil, kopts, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
@@ -263,6 +254,21 @@ func resolveOptions(a, b *sparse.CSR, opts *Options) (kernels.Algorithm, kernels
 		kopts.Pre = opts.Plan.pre
 	}
 	return alg, kopts, nil
+}
+
+// coreParams maps the Block Reorganizer tuning fields of opts onto the
+// core preprocessing parameters.
+func coreParams(opts *Options) core.Params {
+	return core.Params{
+		Alpha:               opts.Alpha,
+		AutoAlpha:           opts.AutoTune,
+		Beta:                opts.Beta,
+		SplitFactorOverride: opts.SplitFactor,
+		LimitFactor:         opts.LimitFactor,
+		DisableSplit:        opts.DisableSplit,
+		DisableGather:       opts.DisableGather,
+		DisableLimit:        opts.DisableLimit,
+	}
 }
 
 // wrapResult converts an internal product into the public Result.

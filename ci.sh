@@ -18,6 +18,11 @@
 #                      so the documented code paths cannot drift from the
 #                      API (docs/CLI.md and the godoc examples are tested,
 #                      not trusted)
+#   6b. perfbench     — go vet and go test in the benchmark module
+#                      (perfbench/ is its own Go module, so neither tier 1
+#                      nor the gates above compile it): a change to the
+#                      server, pipeline or ooc APIs it drives fails here
+#                      instead of in the next benchmark run
 #   7. bench smoke    — every benchmark once with -benchmem, so a change
 #                      that breaks a measured path (or its setup) fails
 #                      here instead of silently disappearing from the
@@ -89,6 +94,9 @@ go test -run Example ./...
 for ex in ./examples/*/; do
     go build -o /dev/null "$ex"
 done
+
+echo "==> perfbench (benchmark module vet + tests)"
+(cd perfbench && go vet ./... && go test ./...)
 
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT

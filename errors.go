@@ -17,3 +17,9 @@ var (
 	// ErrUnknownAlgorithm reports an Algorithm name outside Algorithms().
 	ErrUnknownAlgorithm = errors.New("blockreorg: unknown algorithm")
 )
+
+// requestFault reports whether err is one of the client faults above.
+func requestFault(err error) bool {
+	return errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrInvalidOptions) ||
+		errors.Is(err, ErrUnknownAlgorithm)
+}

@@ -115,16 +115,19 @@ func RunHostBench(scale int) (*HostBench, error) {
 			return err
 		}
 	}
-	// The Reorganizer's multiply engine (finishProduct → sparse.MultiplyOn):
-	// a four-worker executor exercises the chunked two-phase kernel whatever
-	// the recording host's core count, so the entry measures the engine the
-	// serving layer runs on multi-core machines.
+	// The Reorganizer's multiply engine (finishProduct →
+	// sparse.MultiplyConfigured) under the all-dense merge this entry has
+	// always recorded: a four-worker executor exercises the chunked
+	// two-phase kernel whatever the recording host's core count, so the
+	// entry measures the engine the serving layer runs on multi-core
+	// machines. finishProduct itself runs the auto accumulator; the
+	// accumulator pair below compares the two.
 	gustEx := parallel.NewExecutor(4)
 	gustRun := func(pooled bool) func() error {
 		return func() error {
 			parallel.SetPooling(pooled)
 			defer parallel.SetPooling(true)
-			_, err := sparse.MultiplyOn(m, m, gustEx)
+			_, err := sparse.MultiplyConfigured(m, m, gustEx, nil, sparse.MulConfig{Accum: sparse.AccumDense})
 			return err
 		}
 	}

@@ -40,30 +40,39 @@ func (p *Plan) ExecuteTraced(ex *parallel.Executor, maxIntermediate int64, rec *
 	if ex == nil {
 		ex = parallel.Default()
 	}
-	if p.RowNNZ == nil {
-		// A plan built before the symbolic populations were stashed cannot
-		// pre-place its merged rows; run the sequential reference.
-		endExp := rec.SpanItems(trace.PhaseExpansion, p.Cls.TotalWork)
-		c, err := p.Execute(maxIntermediate)
-		endExp()
-		return c, err
-	}
 
-	// Snapshot the launch order as flat arena-backed arrays: a counting
-	// visit sizes them, a second visit fills partition triples plus the
-	// per-block partition extents. A per-block []Partition copy would cost
-	// one allocation per block, which for real plans is thousands.
-	nBlocks, nParts := 0, 0
+	// Check the launch totals before drawing any scratch: the blocks must
+	// launch exactly the classified products, and the plan's intermediate
+	// row populations must cover them.
+	nBlocks, nParts, total := 0, 0, 0
 	p.VisitBlocks(func(_ BlockKind, parts []Partition) {
 		nBlocks++
 		nParts += len(parts)
+		for _, part := range parts {
+			total += (part.ColHi - part.ColLo) * p.B.RowNNZ(part.Pair)
+		}
 	})
+	if int64(total) != p.Cls.TotalWork {
+		return nil, fmt.Errorf("core: plan launches %d products, classified %d", total, p.Cls.TotalWork)
+	}
+	var rowTotal int64
+	for _, w := range p.Limit.RowWork {
+		rowTotal += w
+	}
+	if rowTotal != int64(total) {
+		return nil, fmt.Errorf("core: row work sums to %d products, classified %d", rowTotal, total)
+	}
+
+	// Snapshot the launch order as flat arena-backed arrays, filled by a
+	// second visit: partition triples plus the per-block partition extents.
+	// A per-block []Partition copy would cost one allocation per block,
+	// which for real plans is thousands.
 	partPair := parallel.GetInts(nParts)
 	partLo := parallel.GetInts(nParts)
 	partHi := parallel.GetInts(nParts)
 	blockPart := parallel.GetInts(nBlocks + 1)
 	weights := parallel.GetInt64s(nBlocks)
-	bi, pi, total := 0, 0, 0
+	bi, pi := 0, 0
 	p.VisitBlocks(func(_ BlockKind, parts []Partition) {
 		blockPart[bi] = pi
 		n := 0
@@ -76,17 +85,8 @@ func (p *Plan) ExecuteTraced(ex *parallel.Executor, maxIntermediate int64, rec *
 		}
 		weights[bi] = int64(n)
 		bi++
-		total += n
 	})
 	blockPart[nBlocks] = pi
-	if int64(total) != p.Cls.TotalWork {
-		parallel.PutInts(partPair)
-		parallel.PutInts(partLo)
-		parallel.PutInts(partHi)
-		parallel.PutInts(blockPart)
-		parallel.PutInt64s(weights)
-		return nil, fmt.Errorf("core: plan launches %d products, classified %d", total, p.Cls.TotalWork)
-	}
 
 	// Scatter preparation: the row segment extents (exact, from the plan's
 	// intermediate row populations) plus the canonical offset of every
@@ -101,16 +101,6 @@ func (p *Plan) ExecuteTraced(ex *parallel.Executor, maxIntermediate int64, rec *
 	ptr[0] = 0
 	for i := 0; i < rows; i++ {
 		ptr[i+1] = ptr[i] + int(p.Limit.RowWork[i])
-	}
-	if ptr[rows] != total {
-		parallel.PutInts(ptr)
-		parallel.PutInts(partPair)
-		parallel.PutInts(partLo)
-		parallel.PutInts(partHi)
-		parallel.PutInts(blockPart)
-		parallel.PutInt64s(weights)
-		endScat()
-		return nil, fmt.Errorf("core: row work sums to %d products, classified %d", ptr[rows], total)
 	}
 	nCols := p.ACSC.Cols
 	cscStart := parallel.GetInts(nCols + 1)

@@ -25,18 +25,18 @@ func TestGridBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Gustavson engine: chunked two-phase MultiplyOn against the
-			// sequential Multiply.
+			// Gustavson engine: chunked two-phase MultiplyConfigured against
+			// the sequential Multiply.
 			want, err := sparse.Multiply(m, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sparse.MultiplyOn(m, m, ex)
+			got, err := sparse.MultiplyConfigured(m, m, ex, nil, sparse.MulConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want, 0) {
-				t.Fatal("MultiplyOn not bit-identical to Multiply")
+				t.Fatal("MultiplyConfigured not bit-identical to Multiply")
 			}
 
 			// Reorganizer engine: parallel ExecuteOn against the

@@ -79,24 +79,18 @@ func BuildPlan(a, b *sparse.CSR, p Params) (*Plan, error) {
 	if a == nil || b == nil {
 		return nil, errors.New("core: nil operand")
 	}
-	return BuildPlanCached(a, nil, b, nil, nil, p)
+	return BuildPlanTraced(a, nil, b, nil, nil, p, nil)
 }
 
-// BuildPlanCached is BuildPlan with optionally precomputed inputs: acsc is
-// A in column orientation, rowWork the per-row intermediate populations of
-// C, and rowNNZ its exact merged row populations (the symbolic product);
-// any may be nil to compute it here. Callers that analyze the same operands
-// repeatedly (the precompute layer, the benchmark harness) share these
-// across runs.
-func BuildPlanCached(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []int64, rowNNZ []int, p Params) (*Plan, error) {
-	return BuildPlanTraced(a, acsc, b, rowWork, rowNNZ, p, nil)
-}
-
-// BuildPlanTraced is BuildPlanCached with phase-level tracing: the
-// classification, B-Splitting, B-Gathering and B-Limiting stages (and any
-// symbolic sweeps computed here rather than supplied) each record a span
-// on rec. A nil rec disables tracing at zero cost; the plan never retains
-// the recorder.
+// BuildPlanTraced is BuildPlan with optionally precomputed inputs and
+// phase-level tracing. acsc is A in column orientation, rowWork the per-row
+// intermediate populations of C, and rowNNZ its exact merged row
+// populations (the symbolic product); any may be nil to compute it here,
+// and callers that analyze the same operands repeatedly (the precompute
+// layer) share them across runs. The classification, B-Splitting,
+// B-Gathering and B-Limiting stages (and any symbolic sweeps computed here
+// rather than supplied) each record a span on rec. A nil rec disables
+// tracing at zero cost; the plan never retains the recorder.
 func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []int64, rowNNZ []int, p Params, rec *trace.Recorder) (*Plan, error) {
 	p, err := p.Normalize()
 	if err != nil {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"github.com/blockreorg/blockreorg/internal/core"
 	"github.com/blockreorg/blockreorg/internal/gpusim"
-	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
 )
 
@@ -45,28 +44,13 @@ func (Reorganizer) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 			// The merge kernel still needs the structure-only row
 			// populations. The plan stashed them at build time (they
 			// survive Rebind, being structure-only), so a cache hit pays
-			// nothing here; only plans predating the stash fall back to
-			// the symbolic sweep.
-			rowNNZ := plan.RowNNZ
-			nnzc := plan.NNZC
-			if rowNNZ == nil {
-				symStart := opts.Trace.Now()
-				rowNNZ, err = sparse.SymbolicRowNNZOn(a, b, executor(opts))
-				if err != nil {
-					return nil, err
-				}
-				nnzc = 0
-				for _, n := range rowNNZ {
-					nnzc += int64(n)
-				}
-				opts.Trace.Observe(trace.PhaseSymbolic, nnzc, opts.Trace.Since(symStart))
-			}
+			// nothing here.
 			pc = &Precomputed{
 				rows: a.Rows, mid: a.Cols, cols: b.Cols,
 				RowWork: plan.Limit.RowWork,
-				RowNNZ:  rowNNZ,
+				RowNNZ:  plan.RowNNZ,
 				Flops:   plan.Cls.TotalWork,
-				NNZC:    nnzc,
+				NNZC:    plan.NNZC,
 				ACSC:    plan.ACSC,
 			}
 		}

@@ -4,9 +4,10 @@
 //
 // The engine partitions A into row panels and B into column panels sized
 // by a byte Budget, streams panel pairs through the in-memory planned
-// multiply (blockreorg.NewPlan / Plan.Rebind, with a tile-pair-structure-
-// keyed plan cache so iterative workloads reuse tile preprocessing across
-// iterations), spills each finished C tile to a spill directory, and
+// multiply (through a per-engine blockreorg.PlanCache of 64 plans keyed by
+// the tile pair's structure, so iterative workloads reuse tile
+// preprocessing across iterations; Options.NoPlanReuse turns it off),
+// spills each finished C tile to a spill directory, and
 // finally merges the tiles row-wise into the result — streamed back to
 // disk in the segmented container format, or assembled in memory when the
 // caller wants a *sparse.CSR.

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,10 @@ import (
 	"github.com/blockreorg/blockreorg/internal/trace"
 	"github.com/blockreorg/blockreorg/sparse"
 )
+
+// planCacheSize bounds an engine's tile plan cache: enough for an 8×8
+// grid, so an iterative workload's whole grid stays resident.
+const planCacheSize = 64
 
 // Options configures an out-of-core engine.
 type Options struct {
@@ -32,9 +37,9 @@ type Options struct {
 	Workers     int
 	Paranoid    bool
 	Accumulator string
-	// PlanCacheSize bounds the tile plan cache in entries: 0 selects the
-	// default (64, enough for an 8×8 grid), negative disables plan reuse.
-	PlanCacheSize int
+	// NoPlanReuse disables the tile plan cache; every tile then pays its
+	// own preprocessing.
+	NoPlanReuse bool
 	// Trace optionally attaches a recorder: the engine records ooc.*
 	// phase spans (load, reshard, multiply, spill, merge), tile and plan
 	// cache counters, byte counters, and the budget/peak gauges, and the
@@ -82,7 +87,7 @@ type Engine struct {
 	dir    string
 	ownDir bool
 	acct   Accountant
-	plans  *planCache
+	plans  *blockreorg.PlanCache // nil under NoPlanReuse
 	stats  Stats
 	seq    int
 
@@ -99,13 +104,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("ooc: memory budget must be positive, got %d", opts.Budget)
 	}
-	if opts.PlanCacheSize == 0 {
-		opts.PlanCacheSize = 64
-	}
-	cacheCap := opts.PlanCacheSize
-	if cacheCap < 0 {
-		cacheCap = 0
-	}
 	dir, ownDir := opts.Dir, false
 	if dir == "" {
 		t, err := os.MkdirTemp("", "ooc-")
@@ -116,13 +114,16 @@ func New(opts Options) (*Engine, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		opts:   opts,
 		dir:    dir,
 		ownDir: ownDir,
-		plans:  newPlanCache(cacheCap),
 		stats:  Stats{BudgetBytes: opts.Budget},
-	}, nil
+	}
+	if !opts.NoPlanReuse {
+		e.plans = blockreorg.NewPlanCache(planCacheSize)
+	}
+	return e, nil
 }
 
 // Close drops the reshard cache and, for an engine that created its own
@@ -461,7 +462,6 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 	rec.Observe(trace.PhaseOOCLoad, bb, d)
 
 	t0 = time.Now()
-	key := planKey{a: fpA, b: bPanel.StructureFingerprint()}
 	mopts := blockreorg.Options{
 		GPU:         e.opts.GPU,
 		Workers:     e.opts.Workers,
@@ -469,26 +469,16 @@ func (e *Engine) tile(g *tileGrid, I, J int, aPanel *sparse.CSR, fpA uint64, bPa
 		Accumulator: e.opts.Accumulator,
 		Trace:       e.opts.Trace,
 	}
-	reused := false
-	if cached := e.plans.get(key); cached != nil {
-		// A fingerprint collision surfaces as a Rebind error; fall back to
-		// a fresh plan rather than failing the multiplication.
-		if bound, rerr := cached.Rebind(aPanel, bPanel); rerr == nil {
-			mopts.Plan = bound
-			reused = true
-		}
-	}
-	res, err := blockreorg.Multiply(aPanel, bPanel, mopts)
+	res, err := e.plans.Multiply(context.TODO(), aPanel, bPanel, fpA, bPanel.StructureFingerprint(), mopts)
 	if err != nil {
 		return err
 	}
-	if reused {
+	if res.PlanReused {
 		e.stats.PlanHits++
 		rec.Add(trace.CounterOOCPlanHits, 1)
 	} else {
 		e.stats.PlanMisses++
 		rec.Add(trace.CounterOOCPlanMisses, 1)
-		e.plans.put(key, res.ReusablePlan())
 	}
 	e.stats.Tiles++
 	e.stats.Flops += res.Flops

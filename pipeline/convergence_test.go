@@ -135,7 +135,7 @@ func TestPowerIterateExecuteVsExecuteOnBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.BuildPlanCached(a, pc.ACSC, a, pc.RowWork, pc.RowNNZ, params)
+	plan, err := core.BuildPlanTraced(a, pc.ACSC, a, pc.RowWork, pc.RowNNZ, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

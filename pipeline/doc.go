@@ -17,12 +17,12 @@
 //
 // The Runner is where the serving stack's machinery finally meets an
 // iterative consumer. Every expansion step funnels through one multiply
-// path that keys a small plan cache on the operands' structure
-// fingerprints: when an iteration multiplies operands whose sparsity
-// pattern was seen before — a fixed operand in a power chain, or an MCL
-// iterate whose structure has stabilized — the cached preprocessing plan
-// is rebound to the new values (Plan.Rebind) and the precalculation phase
-// is skipped entirely. Hits and misses are reported on the Result and, via
+// path and a per-run blockreorg.PlanCache (16 plans, LRU) keyed on the
+// operands' structure fingerprints: when an iteration multiplies operands
+// whose sparsity pattern was seen before — a fixed operand in a power
+// chain, or an MCL iterate whose structure has stabilized — the cached
+// preprocessing plan is rebound to the new values (Plan.Rebind) and the
+// precalculation phase is skipped entirely. Hits and misses are reported on the Result and, via
 // Options.Trace, as pipeline_plan_hits / pipeline_plan_misses counters.
 //
 // Tracing threads through every iteration: each step records a span under

@@ -110,8 +110,12 @@ func (p *Plan) Summary() PlanSummary {
 // background on its goroutine and is discarded, while the caller gets
 // ctx.Err() immediately. That trade (bounded caller latency over bounded
 // background work) is what a serving layer with per-request deadlines
-// wants; batch callers with no deadline should use Multiply.
+// wants; batch callers with no deadline should use Multiply. A context
+// that can never be done (context.Background) runs Multiply directly.
 func MultiplyContext(ctx context.Context, a, b *sparse.CSR, opts Options) (*Result, error) {
+	if ctx.Done() == nil {
+		return Multiply(a, b, opts)
+	}
 	// Validate first so a doomed request never launches a goroutine.
 	if _, _, err := resolveOptions(a, b, &opts); err != nil {
 		return nil, err

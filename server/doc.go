@@ -10,9 +10,10 @@
 //   - Registry — named operand matrices, loaded from Matrix Market or
 //     binary CSR files or registered over the API, each carrying its
 //     structure fingerprint;
-//   - PlanCache — an LRU of reusable preprocessing plans keyed by the
-//     operands' sparsity fingerprints plus the device and tuning that
-//     shaped the plan;
+//   - the plan cache — one blockreorg.PlanCache shared by the workers: an
+//     LRU of reusable preprocessing plans keyed by the operands' sparsity
+//     fingerprints plus the device and normalized tuning that shaped the
+//     plan (Config.PlanCacheSize entries, spgemmd's -plan-cache);
 //   - Server — request admission (bounded queue, per-request deadlines,
 //     429 on saturation), the worker pool, job tracking, graceful drain,
 //     and the /healthz and /metrics endpoints.

@@ -8,40 +8,6 @@ import (
 	"github.com/blockreorg/blockreorg/internal/trace"
 )
 
-// MultiplyParallel computes C = A×B with Gustavson's algorithm across
-// `workers` goroutines (0 selects the process-wide default executor, sized
-// GOMAXPROCS). Rows are dealt in contiguous chunks sized to balance
-// power-law inputs: chunk boundaries follow the intermediate-work
-// distribution rather than the row count, so one hub row cannot serialize
-// the computation — the CPU analogue of the load-balancing problem the
-// Block Reorganizer solves on GPUs.
-//
-// The result is bit-identical to Multiply (the per-row computation is
-// deterministic and rows are written to disjoint output ranges).
-func MultiplyParallel(a, b *CSR, workers int) (*CSR, error) {
-	ex := parallel.Default()
-	if workers > 0 && workers != ex.Workers() {
-		ex = parallel.NewExecutor(workers)
-	}
-	return MultiplyOn(a, b, ex)
-}
-
-// MultiplyOn is Multiply on an explicit executor, with all scratch —
-// dense accumulators, marker arrays, workload vectors — drawn from the
-// shared arenas instead of allocated per call. A nil executor selects the
-// process-wide default.
-func MultiplyOn(a, b *CSR, ex *parallel.Executor) (*CSR, error) {
-	return MultiplyTraced(a, b, ex, nil)
-}
-
-// MultiplyTraced is MultiplyOn with phase-level tracing: the work-weighting
-// sweep, the symbolic sizing pass and the numeric expansion each record a
-// span on rec (see internal/trace). A nil recorder disables tracing at zero
-// cost and the result is identical either way.
-func MultiplyTraced(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder) (*CSR, error) {
-	return MultiplyConfigured(a, b, ex, rec, MulConfig{Accum: AccumDense})
-}
-
 // MulConfig tunes MultiplyConfigured beyond the executor and recorder.
 type MulConfig struct {
 	// Accum selects the per-row merge strategy; the zero value is
@@ -71,15 +37,27 @@ func recordAccumCounts(rec *trace.Recorder, cfg MulConfig, counts AccumCounts) {
 	rec.Add(trace.CounterAccumSortRows, counts.Sort)
 }
 
-// MultiplyConfigured is MultiplyTraced with the accumulator strategy and
-// symbolic reuse exposed: the merge runs per row on the strategy cfg.Accum
-// resolves to (see AccumulatorKind), and a caller-supplied cfg.RowNNZ lets
-// the two-phase engine write straight into final row slots without
-// re-running the symbolic sweep. Results are bit-identical across every
-// configuration.
+// MultiplyConfigured computes C = A×B with Gustavson's algorithm on an
+// explicit executor (nil selects the process-wide default), the one
+// parallel entry point of the package; Multiply is its sequential
+// reference. Rows are dealt in contiguous chunks whose boundaries follow
+// the intermediate-work distribution rather than the row count, so one hub
+// row cannot serialize the computation — the CPU analogue of the
+// load-balancing problem the Block Reorganizer solves on GPUs. All scratch
+// (accumulators, marker arrays, workload vectors) comes from the shared
+// arenas. The merge runs per row on the strategy cfg.Accum resolves to
+// (see AccumulatorKind), and a caller-supplied cfg.RowNNZ lets the
+// two-phase engine write straight into final row slots without re-running
+// the symbolic sweep. The work-weighting sweep, the symbolic sizing pass
+// and the numeric expansion each record a span on rec (nil disables
+// tracing at zero cost).
+//
+// The result is bit-identical to Multiply for every executor and
+// configuration: the per-row computation is deterministic and rows are
+// written to disjoint output ranges.
 func MultiplyConfigured(a, b *CSR, ex *parallel.Executor, rec *trace.Recorder, cfg MulConfig) (*CSR, error) {
 	if a.Cols != b.Rows {
-		return nil, shapeError("MultiplyOn", a.Rows, a.Cols, b.Rows, b.Cols)
+		return nil, shapeError("MultiplyConfigured", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if ex == nil {
 		ex = parallel.Default()
@@ -281,6 +259,9 @@ func intermediateRowWorkInto(out []int64, a, b *CSR, ex *parallel.Executor) {
 
 // insertionSortInts sorts small index slices in place; row populations are
 // usually tiny, where insertion sort beats sort.Ints.
+// Kept over slices.Sort on purpose: it sorts every dense-merge row, and a
+// swap needs a benchmark of that merge, not of this helper — isolated timings
+// are mixed (faster on short rows, slower at 128–512 entries).
 func insertionSortInts(s []int) {
 	if len(s) > 64 {
 		quickSortFallback(s)

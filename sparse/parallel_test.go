@@ -7,6 +7,16 @@ import (
 	"github.com/blockreorg/blockreorg/internal/parallel"
 )
 
+// multiplyWorkers runs MultiplyConfigured on a workers-sized executor (0
+// selects the process-wide default).
+func multiplyWorkers(a, b *CSR, workers int) (*CSR, error) {
+	ex := parallel.Default()
+	if workers > 0 {
+		ex = parallel.NewExecutor(workers)
+	}
+	return MultiplyConfigured(a, b, ex, nil, MulConfig{})
+}
+
 func TestMultiplyParallelMatchesSerial(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := testRNG(seed)
@@ -20,7 +30,7 @@ func TestMultiplyParallelMatchesSerial(t *testing.T) {
 			return false
 		}
 		for _, workers := range []int{0, 1, 2, 7} {
-			got, err := MultiplyParallel(a, b, workers)
+			got, err := multiplyWorkers(a, b, workers)
 			if err != nil || got.Validate() != nil || !got.Equal(want, 0) {
 				return false
 			}
@@ -49,7 +59,7 @@ func TestMultiplyParallelSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MultiplyParallel(m, m, 4)
+	got, err := multiplyWorkers(m, m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +69,7 @@ func TestMultiplyParallelSkewed(t *testing.T) {
 }
 
 func TestMultiplyParallelShape(t *testing.T) {
-	if _, err := MultiplyParallel(NewCSR(2, 3), NewCSR(4, 2), 2); err == nil {
+	if _, err := multiplyWorkers(NewCSR(2, 3), NewCSR(4, 2), 2); err == nil {
 		t.Fatal("mismatched shapes accepted")
 	}
 }
@@ -114,7 +124,7 @@ func TestMultiplyParallelMostlyEmptyRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		got, err := MultiplyParallel(m, m, workers)
+		got, err := multiplyWorkers(m, m, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +200,13 @@ func TestSortHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkMultiplyParallel(b *testing.B) {
+func BenchmarkMultiplyWorkers(b *testing.B) {
 	rng := testRNG(99)
 	a := randomCSR(rng, 800, 800, 0.02)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiplyParallel(a, a, 0); err != nil {
+		if _, err := multiplyWorkers(a, a, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
