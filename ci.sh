@@ -26,12 +26,15 @@
 #   7. bench smoke    — every benchmark once with -benchmem, so a change
 #                      that breaks a measured path (or its setup) fails
 #                      here instead of silently disappearing from the
-#                      perf record, plus a dense-vs-auto accumulator run
-#                      of the spgemm CLI whose products must compare
-#                      byte-identical. Skipped with a loud warning on
-#                      hosts with fewer than 4 CPUs: a 1-CPU "speedup" is
-#                      noise that poisons the perf record (see
-#                      EXPERIMENTS.md, "Hardware baseline")
+#                      perf record. Skipped with a loud warning on hosts
+#                      with fewer than 4 CPUs: a 1-CPU "speedup" is noise
+#                      that poisons the perf record (see EXPERIMENTS.md,
+#                      "Hardware baseline")
+#   7b. accum smoke   — the spgemm CLI under -accum auto, hash and sort
+#                      must write products byte-identical to -accum
+#                      dense; forced sort puts the run merge on every
+#                      row, hub rows of many runs included. Runs on any
+#                      host: it checks bits, not speed
 #   8. graphrun smoke — genmat generates a small R-MAT network and graphrun
 #                      clusters it end to end, so the CLI wiring from file
 #                      input through the pipeline engine stays exercised
@@ -109,14 +112,17 @@ if [ "$cores" -lt 4 ]; then
     echo "WARNING: must not enter the perf record; see EXPERIMENTS.md, 'Hardware baseline'." >&2
 else
     go test -run '^$' -bench . -benchtime 1x -benchmem ./...
-    echo "==> accumulator smoke (spgemm -accum dense vs auto, byte-identical products)"
-    go run ./cmd/spgemm -dataset youtube -scale 64 -accum dense -o "$smoke_dir/c_dense.mtx"
-    go run ./cmd/spgemm -dataset youtube -scale 64 -accum auto -o "$smoke_dir/c_auto.mtx"
-    if ! cmp -s "$smoke_dir/c_dense.mtx" "$smoke_dir/c_auto.mtx"; then
-        echo "accumulator strategies disagree: -accum dense and -accum auto wrote different products" >&2
+fi
+
+echo "==> accumulator smoke (spgemm -accum auto/hash/sort vs dense, byte-identical products)"
+go run ./cmd/spgemm -dataset youtube -scale 64 -accum dense -o "$smoke_dir/c_dense.mtx"
+for accum in auto hash sort; do
+    go run ./cmd/spgemm -dataset youtube -scale 64 -accum "$accum" -o "$smoke_dir/c_$accum.mtx"
+    if ! cmp -s "$smoke_dir/c_dense.mtx" "$smoke_dir/c_$accum.mtx"; then
+        echo "accumulator strategies disagree: -accum dense and -accum $accum wrote different products" >&2
         exit 1
     fi
-fi
+done
 
 echo "==> graphrun smoke (genmat R-MAT -> MCL clustering)"
 go run ./cmd/genmat -kind rmat -n 256 -nnz 1024 -seed 7 -o "$smoke_dir/net.mtx"

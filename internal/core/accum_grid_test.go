@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/blockreorg/blockreorg/internal/datasets"
@@ -14,16 +15,16 @@ var accumKinds = []sparse.AccumulatorKind{
 }
 
 // TestAccumGridBitIdentical sweeps the Table II grid (downscaled) and
-// requires every accumulator strategy to reproduce its engine's oracle
-// exactly — tolerance zero. The Gustavson engine (MultiplyConfigured) is
-// checked against the sequential Multiply; the plan executor is checked
-// against its own legacy shape — the sequential sort-merge Execute —
-// because the plan's scattered product stream sums in scatter order, a
-// different (equally valid) floating-point order than the row loop's. All
-// strategies accumulate each column's products in stream order, so within
-// an engine they agree to the bit. The grid spans regular meshes and
-// hub-skewed networks, so the hash tables, the stable sort-combine and the
-// per-row selector all see both families.
+// requires every accumulator strategy, in both engines, to reproduce the
+// sequential sparse.Multiply exactly — tolerance zero. The Gustavson engine
+// is MultiplyConfigured; the plan executor (ExecuteOn) writes every row's
+// products in the canonical order — ascending k over A's row, B-row order
+// within one k — which is the row loop's order, so it owes the same bits.
+// The executor is also checked against the sequential sort-merge Execute.
+// All strategies accumulate each column's products in stream order. The
+// grid spans regular meshes and hub-skewed networks, so the hash tables,
+// the run-merging sort-combine and the per-row selector all see both
+// families.
 func TestAccumGridBitIdentical(t *testing.T) {
 	const scale = 100
 	ex := parallel.NewExecutor(6)
@@ -67,6 +68,9 @@ func TestAccumGridBitIdentical(t *testing.T) {
 				if err := par.Validate(); err != nil {
 					t.Fatalf("%v: %v", kind, err)
 				}
+				if !par.Equal(want, 0) {
+					t.Fatalf("ExecuteOn(%v) not bit-identical to Multiply", kind)
+				}
 				if !par.Equal(planWant, 0) {
 					t.Fatalf("ExecuteOn(%v) not bit-identical to the sort-merge Execute", kind)
 				}
@@ -77,8 +81,10 @@ func TestAccumGridBitIdentical(t *testing.T) {
 
 // TestAccumPlanCountsAndSelection checks the plan's per-row assignment: a
 // pinned strategy assigns every working row to it, auto matches
-// SelectAccumulator row by row, and the counts tally exactly the non-empty
-// rows.
+// SelectAccumulator row by row — each row's run bound is its A-row
+// population — and the counts tally exactly the non-empty rows. On the
+// skewed network auto must send some long rows of few runs to the run
+// merge.
 func TestAccumPlanCountsAndSelection(t *testing.T) {
 	spec, err := datasets.ByName("youtube")
 	if err != nil {
@@ -101,14 +107,19 @@ func TestAccumPlanCountsAndSelection(t *testing.T) {
 			t.Fatalf("%v: %d row assignments, want %d", kind, len(ap.Rows), m.Rows)
 		}
 		var counts sparse.AccumCounts
+		longFewRuns := 0
 		for i, got := range ap.Rows {
-			want := sparse.SelectAccumulator(kind, plan.Limit.RowWork[i], ap.Cols)
+			work, runs := plan.Limit.RowWork[i], m.RowNNZ(i)
+			want := sparse.SelectAccumulator(kind, work, runs, ap.Cols)
 			if got != want {
-				t.Fatalf("%v: row %d assigned %v, want %v (work %d)",
-					kind, i, got, want, plan.Limit.RowWork[i])
+				t.Fatalf("%v: row %d assigned %v, want %v (work %d, runs %d)",
+					kind, i, got, want, work, runs)
 			}
-			if plan.Limit.RowWork[i] == 0 {
+			if work == 0 {
 				continue
+			}
+			if work > sparse.SortRowMax && runs <= sparse.SortRunMax && got == sparse.AccumSort {
+				longFewRuns++
 			}
 			switch got {
 			case sparse.AccumDense:
@@ -125,5 +136,43 @@ func TestAccumPlanCountsAndSelection(t *testing.T) {
 		if kind == sparse.AccumAuto && (counts.Sort == 0 || counts.Dense+counts.Hash == 0) {
 			t.Fatalf("auto on a skewed network selected only one class: %+v", counts)
 		}
+		if kind == sparse.AccumAuto && longFewRuns == 0 {
+			t.Fatal("auto sent no long row of few runs to the run merge")
+		}
+	}
+}
+
+// TestAccumPlanBandedKeepsClass pins the selector's other side: on a banded
+// FEM mesh most rows have more than SortRunMax runs, and auto assigns each
+// of them the class its size alone gives it — none is re-classed to the
+// run merge.
+func TestAccumPlanBandedKeepsClass(t *testing.T) {
+	spec, err := datasets.ByName("harbor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.Generate(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPlan(m, m, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manyRuns := 0
+	for i, got := range plan.Accum.Rows {
+		work, runs := plan.Limit.RowWork[i], m.RowNNZ(i)
+		if runs <= sparse.SortRunMax {
+			continue
+		}
+		manyRuns++
+		// The size-only rule: the selector with no run bound at all.
+		want := sparse.SelectAccumulator(sparse.AccumAuto, work, math.MaxInt, plan.Accum.Cols)
+		if got != want {
+			t.Fatalf("row %d (work %d, runs %d) assigned %v, want %v", i, work, runs, got, want)
+		}
+	}
+	if manyRuns < m.Rows/2 {
+		t.Fatalf("only %d of %d harbor rows have more than SortRunMax runs", manyRuns, m.Rows)
 	}
 }

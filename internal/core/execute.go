@@ -183,7 +183,7 @@ func (p *Plan) ExecuteTraced(ex *parallel.Executor, maxIntermediate int64, rec *
 			// that merges to an unexpected length spills into a private
 			// reallocation instead of a neighbouring chunk's rows.
 			dstIdx, dstVal := c.Row(i)
-			outIdx, _ := mg.Merge(kind,
+			outIdx, _ := mg.Merge(kind, p.A.RowNNZ(i),
 				scatIdx[ptr[i]:ptr[i+1]], scatVal[ptr[i]:ptr[i+1]],
 				dstIdx[0:0:len(dstIdx)], dstVal[0:0:len(dstVal)])
 			if len(outIdx) != p.RowNNZ[i] {

@@ -162,7 +162,7 @@ func BuildPlanTraced(a *sparse.CSR, acsc *sparse.CSC, b *sparse.CSR, rowWork []i
 		Params: p, A: a, ACSC: acsc, B: b,
 		Cls: cls, Split: split, Gather: gather, Limit: limit,
 		RowNNZ: rowNNZ, NNZC: nnzc,
-		Accum: BuildAccumPlan(p.Accumulator, limit.RowWork, b.Cols),
+		Accum: BuildAccumPlan(p.Accumulator, a, limit.RowWork, b.Cols),
 	}
 	plan.RecordTrace(rec)
 	return plan, nil

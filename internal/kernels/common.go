@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/bits"
 
 	"github.com/blockreorg/blockreorg/internal/core"
@@ -216,6 +217,14 @@ func mergeKernel(name string, rowWork []int64, rowNNZ []int, readBytes float64, 
 		kind := sparse.AccumDense
 		if accum != nil {
 			kind = accum.Rows[i]
+			if accum.Requested == sparse.AccumAuto {
+				// The device resolves auto by size alone: its sort
+				// prices streaming passes over every product, which
+				// cost more than a hash or dense update on any row past
+				// SortRowMax, so the host's run rule does not carry
+				// over (DESIGN §15).
+				kind = sparse.SelectAccumulator(sparse.AccumAuto, w, math.MaxInt, accum.Cols)
+			}
 		}
 		outBytes := int64(rowNNZ[i]) * elemBytes
 		if w < longRow {

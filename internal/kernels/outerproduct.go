@@ -36,7 +36,7 @@ func (OuterProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		precalcKernel("precalc(block-nnz)", pc.ACSC.Cols),
 		outerExpansionKernel(pc.ACSC, b),
 		mergeKernel("merge(gustavson)", pc.RowWork, pc.RowNNZ, mergeReadMatrixForm, nil, 0,
-			core.BuildAccumPlan(opts.Accumulator, pc.RowWork, b.Cols)),
+			core.BuildAccumPlan(opts.Accumulator, a, pc.RowWork, b.Cols)),
 	); err != nil {
 		return nil, err
 	}

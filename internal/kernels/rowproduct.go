@@ -35,7 +35,7 @@ func (RowProduct) Multiply(a, b *sparse.CSR, opts Options) (*Product, error) {
 		precalcKernel("precalc(row-nnz)", a.Rows),
 		rowExpansionKernel(a, b),
 		mergeKernel("merge(gustavson)", pc.RowWork, pc.RowNNZ, mergeReadRowForm, nil, 0,
-			core.BuildAccumPlan(opts.Accumulator, pc.RowWork, b.Cols)),
+			core.BuildAccumPlan(opts.Accumulator, a, pc.RowWork, b.Cols)),
 	); err != nil {
 		return nil, err
 	}

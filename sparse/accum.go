@@ -20,14 +20,18 @@ import (
 //   - AccumHash accumulates into an open-addressing table sized from the
 //     row's upper-bound population, keeping the working set proportional
 //     to the row instead of the matrix.
-//   - AccumSort appends the raw products and sort-combines them — cheapest
-//     for tiny rows, where a table or a dense sweep is all overhead.
+//   - AccumSort appends the raw products and sort-combines them (CombineRow)
+//     — cheapest for tiny rows, where a table or a dense sweep is all
+//     overhead, and for rows of few runs: a row's products arrive as one
+//     column-sorted run per entry of A's row, and merging a handful of
+//     runs is a few linear passes with no table at all.
 //
 // AccumAuto picks per row from the upper-bound intermediate population the
-// symbolic phase already computes (and plans stash as Limit.RowWork), so
+// symbolic phase already computes (and plans stash as Limit.RowWork) and
+// from the row's run bound, the population of A's row; both are free, so
 // the choice costs nothing extra. Every kind produces bit-identical output:
 // dense and hash add each column's products in stream order, and the sort
-// path's stable sort preserves stream order among duplicates.
+// path's stable merge preserves stream order among duplicates.
 type AccumulatorKind uint8
 
 // Accumulator strategies. The zero value is AccumAuto: callers that leave
@@ -82,6 +86,16 @@ const (
 	// of cache lines and an insertion sort beats both table setup and a
 	// dense-vector round trip.
 	SortRowMax = 32
+	// SortRunMax is the run bound at or below which a longer row still
+	// sort-merges: merging r presorted runs costs at most about log2(r)
+	// linear passes and no table. In a sweep on the skewed benchmark
+	// network, routing rows of up to 16–128 runs to the run merge instead
+	// of the hash table was equally fastest; on the banded one, whose
+	// rows have 44–56 runs and collapse many duplicates, the run merge was
+	// 1.5–2.5x slower than the dense accumulator. 32 sits inside the
+	// first range and clear of the second (EXPERIMENTS.md, "Run-aware
+	// sort merge").
+	SortRunMax = 32
 	// HashColsFactor gates the hash accumulator: a row hashes when its
 	// power-of-two table (about 2×upper slots) is still an order of
 	// magnitude smaller than the dense accumulator's O(Cols) working set.
@@ -92,15 +106,18 @@ const (
 
 // SelectAccumulator resolves the effective strategy for one row: kind
 // itself unless it is AccumAuto, in which case the row's upper-bound
-// intermediate population (upper) is weighed against the output dimension
-// (cols). upper is an upper bound on the merged population — the symbolic
-// phase's row work — so the hash table it sizes never overflows.
-func SelectAccumulator(kind AccumulatorKind, upper int64, cols int) AccumulatorKind {
+// intermediate population (upper) and run bound (runs) are weighed against
+// the output dimension (cols). upper is an upper bound on the merged
+// population — the symbolic phase's row work — so the hash table it sizes
+// never overflows. runs is the population of A's row: each of its entries
+// contributes one column-sorted run, so it bounds the row's run count.
+// Both depend only on the operands' structure.
+func SelectAccumulator(kind AccumulatorKind, upper int64, runs int, cols int) AccumulatorKind {
 	if kind != AccumAuto {
 		return kind
 	}
 	switch {
-	case upper <= SortRowMax:
+	case upper <= SortRowMax || runs <= SortRunMax:
 		return AccumSort
 	case upper*HashColsFactor < int64(cols):
 		return AccumHash
@@ -128,10 +145,11 @@ func (c *AccumCounts) add(other AccumCounts) {
 // path: the Gustavson row loops (Multiply's pooled and chunked engines) and
 // the plan executor's scattered-stream merge. One merger serves one
 // goroutine; scratch — dense accumulator, marker array, hash table, pair
-// buffers — is drawn lazily from the internal/parallel arenas on first use
-// per strategy and returned by Release. Output rows are appended to
-// caller-provided slices (CombineRow's contract), so chunked engines pass
-// capped three-index slices and write straight into their final slots.
+// buffers, run-merge buffers — is drawn lazily from the internal/parallel
+// arenas on first use per strategy and returned by Release. Output rows
+// are appended to caller-provided slices (CombineRow's contract), so
+// chunked engines pass capped three-index slices and write straight into
+// their final slots.
 type RowMerger struct {
 	cols int
 	// Counts tallies the rows merged per strategy since construction.
@@ -156,6 +174,10 @@ type RowMerger struct {
 	pIdx   []int
 	pVal   []float64
 	pSlots []int
+
+	// Run-merge scratch of the sort path (and of the hash path's key
+	// sort), drawn only by rows of three or more runs.
+	rs runScratch
 }
 
 // NewRowMerger returns a merger for rows of an output with the given
@@ -174,6 +196,7 @@ func (m *RowMerger) Release() {
 	parallel.PutInts(m.pIdx)
 	parallel.PutFloats(m.pVal)
 	parallel.PutInts(m.pSlots)
+	m.rs.release()
 	*m = RowMerger{}
 }
 
@@ -238,14 +261,15 @@ const fibMul = 0x9E3779B97F4A7C15
 // through SelectAccumulator when kind is AccumAuto) and appends the merged
 // row — column-sorted, duplicate-free — to outIdx/outVal. upper is the
 // row's intermediate product count, the symbolic upper bound that sizes the
-// scratch and drives auto-selection. The output is bit-identical across
-// strategies.
+// scratch and drives auto-selection together with the row's run bound, the
+// population of A's row i. The output is bit-identical across strategies.
 func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int64,
 	outIdx []int, outVal []float64) ([]int, []float64) {
-	if upper == 0 || a.Ptr[i] == a.Ptr[i+1] {
+	runs := a.RowNNZ(i)
+	if upper == 0 || runs == 0 {
 		return outIdx, outVal
 	}
-	switch SelectAccumulator(kind, upper, m.cols) {
+	switch SelectAccumulator(kind, upper, runs, m.cols) {
 	case AccumHash:
 		m.Counts.Hash++
 		return m.hashProductRow(a, b, i, upper, outIdx, outVal)
@@ -260,21 +284,23 @@ func (m *RowMerger) ProductRow(kind AccumulatorKind, a, b *CSR, i int, upper int
 
 // Merge combines one row's scattered intermediate products (idx/val in
 // stream order, consumed destructively) under the given strategy and
-// appends the merged row to outIdx/outVal. With kind AccumSort this is
-// exactly CombineRow; dense and hash accumulate in stream order, so all
-// three agree to the bit.
-func (m *RowMerger) Merge(kind AccumulatorKind, idx []int, val []float64,
+// appends the merged row to outIdx/outVal. runs bounds the stream's
+// ascending run count (the population of A's row in a Gustavson stream)
+// and only steers AccumAuto. With kind AccumSort this is exactly
+// CombineRow; dense and hash accumulate in stream order, so all three
+// agree to the bit.
+func (m *RowMerger) Merge(kind AccumulatorKind, runs int, idx []int, val []float64,
 	outIdx []int, outVal []float64) ([]int, []float64) {
 	if len(idx) == 0 {
 		return outIdx, outVal
 	}
-	switch SelectAccumulator(kind, int64(len(idx)), m.cols) {
+	switch SelectAccumulator(kind, int64(len(idx)), runs, m.cols) {
 	case AccumHash:
 		m.Counts.Hash++
 		return m.hashMerge(idx, val, outIdx, outVal)
 	case AccumSort:
 		m.Counts.Sort++
-		return CombineRow(idx, val, outIdx, outVal)
+		return m.rs.combine(idx, val, outIdx, outVal)
 	default:
 		m.Counts.Dense++
 		return m.denseMerge(idx, val, outIdx, outVal)
@@ -318,8 +344,11 @@ func (m *RowMerger) denseProductRow(a, b *CSR, i int, upper int64,
 
 // hashProductRow accumulates through the open-addressing table. Each
 // column's products are added in stream order — the same addition order as
-// the dense path — and the merged pairs are co-sorted at the end (keys are
-// unique by then, so sort stability is irrelevant).
+// the dense path — and the merged pairs are co-sorted into the output at
+// the end (keys are unique by then, so sort stability is irrelevant). The
+// keys are logged in first-touch order, which keeps each B row's columns
+// ascending, so the sort is a run merge over at most A's row population of
+// runs.
 func (m *RowMerger) hashProductRow(a, b *CSR, i int, upper int64,
 	outIdx []int, outVal []float64) ([]int, []float64) {
 	m.ensureHash(HashTableSlots(upper))
@@ -356,15 +385,7 @@ func (m *RowMerger) hashProductRow(a, b *CSR, i int, upper int64,
 			}
 		}
 	}
-	base := len(outIdx)
-	for t, j := range touched {
-		slot := slots[t]
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, vals[slot])
-		keys[slot] = -1
-	}
-	sortRowEntries(outIdx[base:], outVal[base:])
-	return outIdx, outVal
+	return m.drainHash(touched, slots, outIdx, outVal)
 }
 
 // sortProductRow appends the raw products and sort-combines them. The
@@ -383,7 +404,7 @@ func (m *RowMerger) sortProductRow(a, b *CSR, i int, upper int64,
 			pv = append(pv, av*b.Val[kb])
 		}
 	}
-	return CombineRow(pi, pv, outIdx, outVal)
+	return m.rs.combine(pi, pv, outIdx, outVal)
 }
 
 // denseMerge is denseProductRow over an already-materialized product
@@ -448,13 +469,18 @@ func (m *RowMerger) hashMerge(idx []int, val []float64,
 			pos = (pos + 1) & mask
 		}
 	}
-	base := len(outIdx)
-	for t, j := range touched {
-		slot := slots[t]
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, vals[slot])
+	return m.drainHash(touched, slots, outIdx, outVal)
+}
+
+// drainHash gathers the table's merged values in first-touch order,
+// empties the slots it filled, and appends the pairs to outIdx/outVal
+// sorted by column.
+func (m *RowMerger) drainHash(touched, slots []int, outIdx []int, outVal []float64) ([]int, []float64) {
+	keys, vals := m.hKeys, m.hVals
+	pv := m.pVal[:len(touched)]
+	for t, slot := range slots {
+		pv[t] = vals[slot]
 		keys[slot] = -1
 	}
-	sortRowEntries(outIdx[base:], outVal[base:])
-	return outIdx, outVal
+	return m.rs.combine(touched, pv, outIdx, outVal)
 }

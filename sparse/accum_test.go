@@ -33,30 +33,47 @@ func TestParseAccumulatorRoundTrip(t *testing.T) {
 
 func TestSelectAccumulatorThresholds(t *testing.T) {
 	const cols = 10_000
+	const many = SortRunMax + 1 // too many runs for the run merge
 	cases := []struct {
 		kind  AccumulatorKind
 		upper int64
+		runs  int
 		want  AccumulatorKind
 	}{
 		// Explicit requests pass through whatever the row looks like.
-		{AccumDense, 1, AccumDense},
-		{AccumHash, 1 << 30, AccumHash},
-		{AccumSort, 1 << 30, AccumSort},
-		// Auto: tiny rows sort-combine...
-		{AccumAuto, 1, AccumSort},
-		{AccumAuto, SortRowMax, AccumSort},
-		// ...mid rows hash while the table stays far below O(cols)...
-		{AccumAuto, SortRowMax + 1, AccumHash},
-		{AccumAuto, cols/HashColsFactor - 1, AccumHash},
-		// ...and rows whose footprint rivals the dimension go dense.
-		{AccumAuto, cols / HashColsFactor, AccumDense},
-		{AccumAuto, cols, AccumDense},
+		{AccumDense, 1, 1, AccumDense},
+		{AccumHash, 1 << 30, 2, AccumHash},
+		{AccumSort, 1 << 30, 1 << 20, AccumSort},
+		// Auto: tiny rows sort-combine whatever their run count...
+		{AccumAuto, 1, 1, AccumSort},
+		{AccumAuto, SortRowMax, SortRowMax, AccumSort},
+		// ...long rows of few runs sort-merge, however long...
+		{AccumAuto, SortRowMax + 1, 1, AccumSort},
+		{AccumAuto, cols/HashColsFactor - 1, SortRunMax, AccumSort},
+		{AccumAuto, cols, SortRunMax, AccumSort},
+		{AccumAuto, 1 << 30, 2, AccumSort},
+		// ...many-run mid rows hash while the table stays far below
+		// O(cols)...
+		{AccumAuto, SortRowMax + 1, many, AccumHash},
+		{AccumAuto, cols/HashColsFactor - 1, many, AccumHash},
+		// ...and many-run rows whose footprint rivals the dimension go
+		// dense.
+		{AccumAuto, cols / HashColsFactor, many, AccumDense},
+		{AccumAuto, cols, many, AccumDense},
+		// A banded row of ~50 runs keeps the class its size gives it.
+		{AccumAuto, 50 * 20, 50, AccumHash},
+		{AccumAuto, 50 * 50, 50, AccumDense},
 	}
 	for _, c := range cases {
-		if got := SelectAccumulator(c.kind, c.upper, cols); got != c.want {
-			t.Errorf("SelectAccumulator(%v, %d, %d) = %v, want %v",
-				c.kind, c.upper, cols, got, c.want)
+		if got := SelectAccumulator(c.kind, c.upper, c.runs, cols); got != c.want {
+			t.Errorf("SelectAccumulator(%v, %d, %d, %d) = %v, want %v",
+				c.kind, c.upper, c.runs, cols, got, c.want)
 		}
+	}
+	// The banded shape against a narrow output: ~50 runs of 50 columns
+	// over 1437 columns (the regular benchmark's FEM stand-in) stays dense.
+	if got := SelectAccumulator(AccumAuto, 50*50, 50, 1437); got != AccumDense {
+		t.Errorf("banded row selected %v, want dense", got)
 	}
 }
 
@@ -98,12 +115,13 @@ func bitIdenticalRows(t *testing.T, label string, wantIdx, gotIdx []int, wantVal
 	}
 }
 
-// TestMergeStrategiesMatchCombineRow drives every strategy over scattered
-// product streams — duplicate-heavy, single-column, and empty — and
-// requires bit-identical output to CombineRow, the engine's historical
-// merge. Merge consumes its input destructively, so each strategy gets a
-// fresh copy.
-func TestMergeStrategiesMatchCombineRow(t *testing.T) {
+// TestMergeStrategiesMatchOracle drives every strategy over scattered
+// product streams — duplicate-heavy, single-column, empty, and
+// run-structured Gustavson rows on both sides of SortRunMax — and requires
+// bit-identical output to refCombineRow, the run-blind sort-combine
+// oracle. Merge consumes its input destructively, so each strategy gets a
+// fresh copy. Auto sees each stream's natural run count.
+func TestMergeStrategiesMatchOracle(t *testing.T) {
 	rng := testRNG(7)
 	const cols = 1 << 14
 	streams := [][]int{
@@ -121,6 +139,10 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 			streams[i][k] = rng.IntN(cols / 4)
 		}
 	}
+	for si, runs := range []int{2, SortRunMax, SortRunMax + 1, 200} {
+		idx, _ := runStream(uint64(si), runs, 30, cols/8)
+		streams = append(streams, idx)
+	}
 	for si, idx := range streams {
 		val := make([]float64, len(idx))
 		for k := range val {
@@ -130,7 +152,7 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 		wv := make([]float64, len(val))
 		copy(wi, idx)
 		copy(wv, val)
-		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
+		wantIdx, wantVal := refCombineRow(wi, wv, nil, nil)
 
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
@@ -138,7 +160,7 @@ func TestMergeStrategiesMatchCombineRow(t *testing.T) {
 			cv := make([]float64, len(val))
 			copy(ci, idx)
 			copy(cv, val)
-			gotIdx, gotVal := m.Merge(kind, ci, cv, nil, nil)
+			gotIdx, gotVal := m.Merge(kind, naturalRuns(idx), ci, cv, nil, nil)
 			bitIdenticalRows(t, kind.String(), wantIdx, gotIdx, wantVal, gotVal)
 			if len(idx) == 0 {
 				if m.Counts != (AccumCounts{}) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/blockreorg/blockreorg/internal/parallel"
 )
 
 // CSR is a matrix in compressed sparse row format.
@@ -203,118 +201,6 @@ func (m *CSR) SortRows() {
 	m.Idx = outIdx
 	m.Val = outVal
 	m.Ptr = newPtr
-}
-
-// sortRowEntriesRun is the run width sortRowEntries insertion-sorts
-// directly; longer inputs go through the bottom-up merge.
-const sortRowEntriesRun = 32
-
-// sortRowEntries co-sorts one row's (column, value) pairs by column index,
-// swapping idx and val in lockstep: insertion sort for short rows, a
-// bottom-up mergesort with arena scratch above sortRowEntriesRun entries.
-// sort.Sort would box the pair into an interface and cost one heap
-// allocation per merged row.
-//
-// The sort is STABLE, and that is a correctness property, not a detail:
-// CombineRow sums duplicate columns in post-sort order, so stability makes
-// that order the original stream order — exactly the order the dense and
-// hash accumulators add in. Bit-identity of the sort strategy (and of the
-// plan executor's merge) with the dense oracle rests on it.
-func sortRowEntries(idx []int, val []float64) {
-	n := len(idx)
-	if n <= sortRowEntriesRun {
-		insertionSortRowEntries(idx, val)
-		return
-	}
-	// Insertion-sort fixed-width runs, then merge them bottom-up. Both
-	// stages are stable, so equal columns keep their stream order.
-	for lo := 0; lo < n; lo += sortRowEntriesRun {
-		hi := lo + sortRowEntriesRun
-		if hi > n {
-			hi = n
-		}
-		insertionSortRowEntries(idx[lo:hi], val[lo:hi])
-	}
-	tmpIdx := parallel.GetInts(n)
-	tmpVal := parallel.GetFloats(n)
-	srcI, srcV := idx, val
-	dstI, dstV := tmpIdx, tmpVal
-	for width := sortRowEntriesRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeRowEntries(srcI, srcV, dstI, dstV, lo, mid, hi)
-		}
-		srcI, srcV, dstI, dstV = dstI, dstV, srcI, srcV
-	}
-	if &srcI[0] != &idx[0] {
-		copy(idx, srcI)
-		copy(val, srcV)
-	}
-	parallel.PutInts(tmpIdx)
-	parallel.PutFloats(tmpVal)
-}
-
-// insertionSortRowEntries is the stable base case of sortRowEntries.
-func insertionSortRowEntries(idx []int, val []float64) {
-	for i := 1; i < len(idx); i++ {
-		ci, cv := idx[i], val[i]
-		j := i - 1
-		for j >= 0 && idx[j] > ci {
-			idx[j+1], val[j+1] = idx[j], val[j]
-			j--
-		}
-		idx[j+1], val[j+1] = ci, cv
-	}
-}
-
-// mergeRowEntries merges the sorted runs src[lo:mid] and src[mid:hi] into
-// dst[lo:hi], taking from the left run on equal columns (stability).
-func mergeRowEntries(srcI []int, srcV []float64, dstI []int, dstV []float64, lo, mid, hi int) {
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		if i < mid && (j >= hi || srcI[i] <= srcI[j]) {
-			dstI[k] = srcI[i]
-			dstV[k] = srcV[i]
-			i++
-		} else {
-			dstI[k] = srcI[j]
-			dstV[k] = srcV[j]
-			j++
-		}
-	}
-}
-
-// CombineRow sorts one row's (idx, val) entry pairs in place by column
-// index, merges duplicate columns by addition, and appends the combined
-// entries to outIdx/outVal, returning the extended slices.
-//
-// It is the single merge primitive behind SortRows (and therefore every
-// COO→CSR conversion), the plan executor's sort-class rows, and the sort
-// accumulator strategy. The underlying sort is stable, so duplicate
-// columns are summed in their original stream order — the same addition
-// order as the dense and hash accumulators, which is what makes every
-// merge path agree to the last bit.
-func CombineRow(idx []int, val []float64, outIdx []int, outVal []float64) ([]int, []float64) {
-	sortRowEntries(idx, val)
-	for k := 0; k < len(idx); {
-		j := idx[k]
-		v := val[k]
-		k++
-		for k < len(idx) && idx[k] == j {
-			v += val[k]
-			k++
-		}
-		outIdx = append(outIdx, j)
-		outVal = append(outVal, v)
-	}
-	return outIdx, outVal
 }
 
 // csrFromRows assembles a CSR matrix from per-row index/value slices.

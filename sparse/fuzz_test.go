@@ -91,20 +91,21 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzAccumulatorMerge feeds arbitrary product streams through every
-// accumulator strategy and requires bit-identical output to CombineRow,
-// the engine's historical sort-merge. Bytes decode as (column, value)
-// pairs over a small column space so duplicates are the common case; the
-// seed corpus pins the hostile shapes — empty rows, all-duplicate rows,
-// and streams long enough to cross the auto-selector's sort and hash
-// thresholds into every strategy.
+// FuzzAccumulatorMerge feeds arbitrary product streams through CombineRow
+// and every accumulator strategy and requires bit-identical output to
+// refCombineRow, the run-blind sort-combine oracle. Bytes decode as
+// (column, value) pairs over a small column space so duplicates are the
+// common case; auto sees the stream's natural run count. The seed corpus
+// pins the hostile shapes — empty rows, all-duplicate rows, streams long
+// enough to cross the auto-selector's sort and hash thresholds into every
+// strategy, and the run structures the run merge must get right.
 func FuzzAccumulatorMerge(f *testing.F) {
 	f.Add([]byte{})                             // empty row
 	f.Add([]byte{7, 1})                         // singleton
 	f.Add([]byte{9, 1, 9, 2, 9, 3, 9, 4})       // one column, all duplicates
 	f.Add([]byte{3, 1, 0, 2, 3, 3, 1, 4, 0, 5}) // small, interleaved duplicates
 	long := make([]byte, 0, 2*(SortRowMax+1))
-	for i := 0; i <= SortRowMax; i++ { // past SortRowMax: hash under auto
+	for i := 0; i <= SortRowMax; i++ { // past SortRowMax: many short runs
 		long = append(long, byte(i%5), byte(i+1))
 	}
 	f.Add(long)
@@ -113,6 +114,13 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		wide = append(wide, byte(i), byte(i%7+1))
 	}
 	f.Add(wide)
+	for _, sh := range combineShapes() {
+		seed := make([]byte, 0, 2*len(sh.idx))
+		for k, j := range sh.idx {
+			seed = append(seed, byte(j), byte(k*37+1))
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const cols = 257 // not a power of two: exercises table wraparound
@@ -125,21 +133,28 @@ func FuzzAccumulatorMerge(f *testing.F) {
 		}
 		wi := append([]int(nil), idx...)
 		wv := append([]float64(nil), val...)
-		wantIdx, wantVal := CombineRow(wi, wv, nil, nil)
+		wantIdx, wantVal := refCombineRow(wi, wv, nil, nil)
+		check := func(label string, gotIdx []int, gotVal []float64) {
+			if len(gotIdx) != len(wantIdx) {
+				t.Fatalf("%s: %d entries, want %d", label, len(gotIdx), len(wantIdx))
+			}
+			for k := range wantIdx {
+				if gotIdx[k] != wantIdx[k] || gotVal[k] != wantVal[k] {
+					t.Fatalf("%s: entry %d = (%d, %v), want (%d, %v)",
+						label, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
+				}
+			}
+		}
+		ci := append([]int(nil), idx...)
+		cv := append([]float64(nil), val...)
+		gotIdx, gotVal := CombineRow(ci, cv, nil, nil)
+		check("CombineRow", gotIdx, gotVal)
 		for _, kind := range allAccumKinds {
 			m := NewRowMerger(cols)
 			ci := append([]int(nil), idx...)
 			cv := append([]float64(nil), val...)
-			gotIdx, gotVal := m.Merge(kind, ci, cv, nil, nil)
-			if len(gotIdx) != len(wantIdx) {
-				t.Fatalf("%v: %d entries, want %d", kind, len(gotIdx), len(wantIdx))
-			}
-			for k := range wantIdx {
-				if gotIdx[k] != wantIdx[k] || gotVal[k] != wantVal[k] {
-					t.Fatalf("%v: entry %d = (%d, %v), want (%d, %v)",
-						kind, k, gotIdx[k], gotVal[k], wantIdx[k], wantVal[k])
-				}
-			}
+			gotIdx, gotVal := m.Merge(kind, naturalRuns(idx), ci, cv, nil, nil)
+			check(kind.String(), gotIdx, gotVal)
 			m.Release()
 		}
 	})

@@ -332,7 +332,12 @@ func newSegFile(f *os.File) (*SegFile, error) {
 	if _, err := f.ReadAt(ibuf, indexOff); err != nil {
 		return nil, fmt.Errorf("%w: truncated index: %v", ErrSegmentedFormat, err)
 	}
-	prev := int64(0)
+	// Every panel's payload lies inside the file, so its pointer and entry
+	// counts are bounded by the file size before payloadBytes multiplies
+	// them, and the panels' entries — disjoint payloads in any file the
+	// writer produced — sum to at most size/16.
+	size := st.Size()
+	prev, nnz := int64(0), int64(0)
 	for i := range s.index {
 		e := ibuf[i*segIndexEntrySize:]
 		p := SegPanel{
@@ -341,15 +346,24 @@ func newSegFile(f *os.File) (*SegFile, error) {
 			NNZ:   int64(binary.LittleEndian.Uint64(e[16:])),
 			Off:   int64(binary.LittleEndian.Uint64(e[24:])),
 		}
-		if p.Start != prev || p.End <= p.Start || p.End > h.extent() || p.NNZ < 0 ||
-			p.Off < segHeaderSize || p.Off+p.payloadBytes(h) > st.Size() {
+		ptrs := p.End - p.Start
+		if h.Axis == SegCols {
+			ptrs = h.Rows
+		}
+		if p.Start != prev || p.End <= p.Start || p.End > h.extent() ||
+			p.NNZ < 0 || p.NNZ > size/16-nnz || ptrs >= size/8 ||
+			p.Off < segHeaderSize || p.Off > size || p.payloadBytes(h) > size-p.Off {
 			return nil, fmt.Errorf("%w: panel %d index entry invalid", ErrSegmentedFormat, i)
 		}
 		prev = p.End
+		nnz += p.NNZ
 		s.index[i] = p
 	}
 	if prev != h.extent() {
 		return nil, fmt.Errorf("%w: panels cover [0,%d) of axis extent %d", ErrSegmentedFormat, prev, h.extent())
+	}
+	if nnz != h.NNZ {
+		return nil, fmt.Errorf("%w: header nnz %d, panels hold %d", ErrSegmentedFormat, h.NNZ, nnz)
 	}
 	return s, nil
 }

@@ -202,6 +202,80 @@ func TestSegmentedRejectsCorruptIndex(t *testing.T) {
 	}
 }
 
+// forgeSegNNZ writes a valid container of m and overwrites its header
+// NNZ field with nnz, returning the path.
+func forgeSegNNZ(t *testing.T, m *CSR, axis SegAxis, nnz uint64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.csrs")
+	if err := WriteSegmentedFile(path, m, axis, 4); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[12+2*8:], nnz)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSegmentedRejectsForgedNNZ forges the header's entry count: 2^50 used
+// to reach make([]int, 0, 2^50) in ReadSegmentedFile and panic, and a
+// small wrong value must be caught too. Both axes must refuse the file
+// with ErrSegmentedFormat, at open time.
+func TestSegmentedRejectsForgedNNZ(t *testing.T) {
+	m := randomCSR(testRNG(46), 12, 12, 0.4)
+	for _, axis := range []SegAxis{SegRows, SegCols} {
+		for _, nnz := range []uint64{1 << 50, uint64(m.NNZ()) - 1, uint64(m.NNZ()) + 1} {
+			path := forgeSegNNZ(t, m, axis, nnz)
+			if _, err := ReadSegmentedFile(path); !errors.Is(err, ErrSegmentedFormat) {
+				t.Fatalf("%v axis, header nnz %d: ReadSegmentedFile = %v, want ErrSegmentedFormat", axis, nnz, err)
+			}
+			if _, err := OpenSegmented(path); !errors.Is(err, ErrSegmentedFormat) {
+				t.Fatalf("%v axis, header nnz %d: OpenSegmented = %v, want ErrSegmentedFormat", axis, nnz, err)
+			}
+		}
+	}
+}
+
+// FuzzReadSegmented feeds arbitrary bytes to the segmented-container
+// reader: it must return an error or a deeply valid matrix, never panic or
+// allocate from an unchecked count. The corpus is seeded with valid row-
+// and column-panel containers.
+func FuzzReadSegmented(f *testing.F) {
+	m := randomCSR(testRNG(47), 9, 7, 0.4)
+	dir := f.TempDir()
+	for _, axis := range []SegAxis{SegRows, SegCols} {
+		path := filepath.Join(dir, axis.String()+".csrs")
+		if err := WriteSegmentedFile(path, m, axis, 3); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		path := filepath.Join(t.TempDir(), "in.csrs")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSegmentedFile(path)
+		if err != nil {
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("reader accepted a structurally invalid matrix: %v", err)
+		}
+		if err := got.CheckDeep(); err != nil {
+			t.Fatalf("reader accepted a deeply invalid matrix: %v", err)
+		}
+	})
+}
+
 func TestStreamPanelMatchesLoadPanel(t *testing.T) {
 	m := randomCSR(testRNG(48), 26, 31, 0.3)
 	path := filepath.Join(t.TempDir(), "m.csrs")
